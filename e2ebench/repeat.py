@@ -7,7 +7,7 @@ Run from the repository root. For every end-to-end metric of BENCHMARK.json
 it prints the median, the quartiles and the interquartile range as a share of
 the median, next to the metric's bound. Exits non-zero when a run fails its
 checks, when the share of failed operations differs between runs, or when a
-metric other than setup_s spreads by more than its bound.
+metric spreads by more than its bound.
 """
 
 import argparse
@@ -66,7 +66,7 @@ def main():
         q1, med, q3 = statistics.quantiles(vals, n=4)
         spread = (q3 - q1) / med if med else float("inf")
         verdict = ""
-        if name != "setup_s" and spread > metric["bound"]:
+        if spread > metric["bound"]:
             verdict = "  SPREAD EXCEEDS BOUND"
             ok = False
         print("%-18s %12.5g %12.5g %12.5g %8.3f %8.3f%s" %

@@ -33,6 +33,9 @@ inline uint64_t NowNs() {
 }
 
 struct RunOptions {
+  // When the process started (NowNs at static initialisation): set-up time
+  // runs from here.
+  uint64_t start_ns = 0;
   std::string workload;
   uint64_t seed = 1;
   double seconds = 10;
@@ -144,11 +147,17 @@ struct WorkloadResult {
   std::map<std::string, Metric> metrics;
   // Everything else worth keeping: sample counts, round counts, probes.
   std::map<std::string, double> detail;
-  std::vector<std::string> errors;
+  // Failed checks (they make the run incorrect) and failed client calls
+  // (counted in `failed`).
+  std::vector<std::string> errors, failures;
 
   void Fail(const std::string& why) {
     correct = false;
     if (errors.size() < 20) errors.push_back(why);
+  }
+  void OpFailed(const std::string& why) {
+    ++failed;
+    if (failures.size() < 20) failures.push_back(why);
   }
   void Set(const std::string& name, double value, const std::string& unit) {
     metrics[name] = Metric{value, unit};

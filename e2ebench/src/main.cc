@@ -21,6 +21,8 @@
 
 namespace {
 
+const uint64_t kProcessStartNs = e2e::NowNs();
+
 std::string JsonNumber(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -48,6 +50,7 @@ void Usage() {
 
 int main(int argc, char** argv) {
   e2e::RunOptions options;
+  options.start_ns = kProcessStartNs;
   options.dir = ".bench_run";
   options.out_dir = ".bench_out";
   bool selftest = false;
@@ -72,8 +75,6 @@ int main(int argc, char** argv) {
       options.dir = value();
     } else if (arg == "--out") {
       options.out_dir = value();
-    } else if (arg == "--small") {
-      options.small = true;  // tiny populations, for trying a change quickly
     } else if (arg == "--selftest") {
       selftest = true;
     } else {
@@ -126,6 +127,9 @@ int main(int argc, char** argv) {
 
   for (const std::string& e : result.errors) {
     std::fprintf(stderr, "check failed: %s\n", e.c_str());
+  }
+  for (const std::string& e : result.failures) {
+    std::fprintf(stderr, "operation failed: %s\n", e.c_str());
   }
   std::string detail = "{";
   for (const auto& [name, value] : result.detail) {

@@ -126,7 +126,8 @@ struct ReaderState {
   Samples compile_us;
   uint64_t calls = 0, evaluated = 0, matched = 0, polled_items = 0, polls = 0;
   uint64_t rounds = 0;
-  std::vector<std::string> errors;
+  std::vector<std::string> errors;       // failed checks
+  std::vector<std::string> op_failures;  // failed client calls
 };
 
 // The work items the benchmark expects OffersFor(user, "data.x == v") to
@@ -163,7 +164,7 @@ void QuiescentCheck(const RunOptions& options, AdeptCluster& cluster,
       size_t u = rng.NextBelow(users.size());
       auto offers = cluster.Worklist().OffersFor(users[u], probe.text);
       if (!offers.ok()) {
-        result.Fail("OffersFor: " + offers.status().ToString());
+        result.OpFailed("OffersFor: " + offers.status().ToString());
         continue;
       }
       std::vector<uint64_t> got;
@@ -177,7 +178,7 @@ void QuiescentCheck(const RunOptions& options, AdeptCluster& cluster,
     }
     auto answer = cluster.Query(probe.text);
     if (!answer.ok()) {
-      result.Fail("Query: " + answer.status().ToString());
+      result.OpFailed("Query: " + answer.status().ToString());
       continue;
     }
     std::set<uint64_t> expected;
@@ -197,7 +198,6 @@ void QuiescentCheck(const RunOptions& options, AdeptCluster& cluster,
 }  // namespace
 
 WorkloadResult RunMonitor(const RunOptions& options) {
-  const uint64_t process_start = NowNs();
   WorkloadResult result;
   // Set-up cost grows with the square of the steps taken (see the FOUND line
   // on WorklistManager::LiveItemFor in CHANGES.md), which caps the
@@ -206,9 +206,10 @@ WorkloadResult RunMonitor(const RunOptions& options) {
   const int max_progress = 10;  // seeded steps per instance in set-up
   const int readers = std::max(1, options.threads - 1);
   const int writer_round = options.small ? 20 : 200;  // steps per round
-  // A fixed amount of writer work, scaled by --seconds (about one second
-  // of work per 4 rounds here); readers poll until the writer is done.
-  const int writer_rounds = std::max(1, static_cast<int>(options.seconds * 4));
+  // A fixed amount of writer work, scaled by --seconds and calibrated so
+  // that a 10-second run takes about that long here (rounds cost more as
+  // the worklist's history grows); readers poll until the writer is done.
+  const int writer_rounds = std::max(1, static_cast<int>(options.seconds * 7));
 
   adept::ClusterOptions co;
   co.shards = 4;
@@ -252,22 +253,23 @@ WorkloadResult RunMonitor(const RunOptions& options) {
   for (int i = 0; i < population; ++i) {
     steps.push_back(static_cast<int>(setup_rng.NextBelow(max_progress)));
   }
+  // One batch, round by round: a shard runs its ops in submission order,
+  // behind one barrier instead of one per round.
+  ops.clear();
   for (int round = 0; round < max_progress; ++round) {
-    ops.clear();
     for (int i = 0; i < population; ++i) {
       if (steps[static_cast<size_t>(i)] > round) {
         ops.push_back(AdeptCluster::BatchOp::DriveStep(ids[static_cast<size_t>(i)]));
       }
     }
-    for (const auto& r : cluster.SubmitBatch(ops)) {
-      if (!r.status.ok()) {
-        result.Fail("progress: " + r.status.ToString());
-        return result;
-      }
+  }
+  for (const auto& r : cluster.SubmitBatch(ops)) {
+    if (!r.status.ok()) {
+      result.Fail("progress: " + r.status.ToString());
+      return result;
     }
   }
-  const double setup_s = static_cast<double>(NowNs() - process_start) / 1e9;
-  const double setup_rss = PeakRssMb();
+  const double setup_s = static_cast<double>(NowNs() - options.start_ns) / 1e9;
 
   adept::Rng check_rng(options.seed * 104729 + 3);
   QuiescentCheck(options, cluster, ids, users, roles, names, check_rng, result);
@@ -305,7 +307,7 @@ WorkloadResult RunMonitor(const RunOptions& options) {
             }
             ++st.calls;
             if (!offers.ok()) {
-              st.errors.push_back("OffersFor: " + offers.status().ToString());
+              st.op_failures.push_back("OffersFor: " + offers.status().ToString());
               failed = true;
               break;
             }
@@ -330,7 +332,7 @@ WorkloadResult RunMonitor(const RunOptions& options) {
           st.query_us.Add(us);
           ++st.calls;
           if (!answer.ok()) {
-            st.errors.push_back("Query: " + answer.status().ToString());
+            st.op_failures.push_back("Query: " + answer.status().ToString());
             failed = true;
             break;
           }
@@ -353,7 +355,7 @@ WorkloadResult RunMonitor(const RunOptions& options) {
     });
   }
   // The writer: seeded steps through the facade on the whole population.
-  std::vector<std::string> writer_errors;
+  std::vector<std::string> writer_failures;  // failed client calls
   std::vector<InstanceId> created_ids;
   threads.emplace_back([&] {
     const int t = readers;
@@ -374,7 +376,7 @@ WorkloadResult RunMonitor(const RunOptions& options) {
           auto fresh = cluster.CreateInstance(kType);
           ++writer_calls;
           if (!fresh.ok()) {
-            writer_errors.push_back("create: " + fresh.status().ToString());
+            writer_failures.push_back("CreateInstance: " + fresh.status().ToString());
             failed = true;
             break;
           }
@@ -401,7 +403,7 @@ WorkloadResult RunMonitor(const RunOptions& options) {
         complete_us.Add(static_cast<double>(NowNs() - t0) / 1e3);
         ++writer_calls;
         if (!s.ok()) {
-          writer_errors.push_back("step: " + s.ToString());
+          writer_failures.push_back("step: " + s.ToString());
           failed = true;
         }
       }
@@ -411,16 +413,20 @@ WorkloadResult RunMonitor(const RunOptions& options) {
   });
   for (auto& th : threads) th.join();
   const double phase_s = static_cast<double>(NowNs() - phase_start) / 1e9;
+  // Peak memory of set-up and the timed phase, before the quiescent check's
+  // snapshot copies add their own.
+  const double peak_rss = PeakRssMb();
 
   ids.insert(ids.end(), created_ids.begin(), created_ids.end());
   QuiescentCheck(options, cluster, ids, users, roles, names, check_rng, result);
-  for (const std::string& e : writer_errors) result.Fail(e);
+  for (const std::string& e : writer_failures) result.OpFailed(e);
 
   Samples query_us, compile_us;
   uint64_t calls = writer_calls, evaluated = 0, matched = 0, polls = 0, polled = 0;
   uint64_t reader_calls = 0;
   for (ReaderState& st : rs) {
     for (const std::string& e : st.errors) result.Fail(e);
+    for (const std::string& e : st.op_failures) result.OpFailed(e);
     query_us.Append(st.query_us);
     compile_us.Append(st.compile_us);
     calls += st.calls;
@@ -445,7 +451,7 @@ WorkloadResult RunMonitor(const RunOptions& options) {
     result.detail["complete_p50_us"] = complete_us.Median();
     result.detail["complete_p99_us"] = complete_us.Quantile(0.99);
     result.Set("key_op_p50_us", query_us.Median(), "us");
-    result.Set("peak_rss_mb", setup_rss, "MiB");
+    result.Set("peak_rss_mb", peak_rss, "MiB");
     return result;
   }
   for (int f = 0; f < kFamilies; ++f) {

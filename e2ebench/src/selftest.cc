@@ -1,6 +1,7 @@
 // Self-test of the correctness checks: every workload runs small, once
 // unchanged (its checks must pass) and once per check with that check's
-// expectation deliberately corrupted (the check must then fail).
+// expectation deliberately corrupted (the check must then fail). No client
+// call may fail in any case.
 
 #include <cstdio>
 #include <filesystem>
@@ -44,7 +45,7 @@ int RunSelfTest(const RunOptions& base) {
     }
     std::filesystem::remove_all(options.dir, ec);
     bool want_correct = c.perturb[0] == '\0';
-    bool ok = result.correct == want_correct;
+    bool ok = result.correct == want_correct && result.failed == 0;
     if (!ok) ++missed;
     std::printf("%-4s %-10s %-13s %s\n", ok ? "ok" : "FAIL", c.workload,
                 want_correct ? "(unchanged)" : c.perturb,
