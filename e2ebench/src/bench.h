@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -172,6 +173,18 @@ struct LayerMetric {
 };
 extern const LayerMetric kLayerMetrics[];
 extern const size_t kLayerMetricCount;
+
+// Runs `episodes` episodes of a workload one after another, each with its
+// own scratch directory under options.dir (removed after it), and combines
+// their results: correct when every episode is, attempted and failed calls
+// summed, every metric and detail figure the median over the episodes,
+// except `setup_s` and `peak_rss_mb`, which are the first episode's (the
+// cold set-up, and the peak read before any episode's checks). Adds detail
+// "episodes" and the slowest and fastest episode's ops_per_s. `last` marks
+// the final episode.
+WorkloadResult RunEpisodes(
+    const RunOptions& options, int episodes,
+    const std::function<WorkloadResult(const RunOptions&, bool last)>& run);
 
 // Peak resident set of the process so far, in MiB (getrusage).
 double PeakRssMb();

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 
 #include "bench.h"
@@ -26,6 +27,67 @@ double Samples::Quantile(double q) {
   }
   size_t rank = static_cast<size_t>(q * static_cast<double>(values_.size()));
   return values_[std::min(rank, values_.size() - 1)];
+}
+
+// --- Episodes ----------------------------------------------------------------
+
+namespace {
+
+WorkloadResult CombineEpisodes(std::vector<WorkloadResult>& episodes) {
+  WorkloadResult out;
+  if (episodes.empty()) return out;
+  std::map<std::string, Samples> metrics, detail;
+  for (const WorkloadResult& r : episodes) {
+    if (!r.correct) out.correct = false;
+    out.attempted += r.attempted;
+    out.failed += r.failed;
+    for (const std::string& e : r.errors) {
+      if (out.errors.size() < 20) out.errors.push_back(e);
+    }
+    for (const std::string& e : r.failures) {
+      if (out.failures.size() < 20) out.failures.push_back(e);
+    }
+    for (const auto& [name, m] : r.metrics) metrics[name].Add(m.value);
+    for (const auto& [name, v] : r.detail) detail[name].Add(v);
+  }
+  const WorkloadResult& first = episodes.front();
+  for (auto& [name, values] : metrics) {
+    auto in_first = first.metrics.find(name);
+    bool from_first = (name == "setup_s" || name == "peak_rss_mb") &&
+                      in_first != first.metrics.end();
+    std::string unit;
+    for (const WorkloadResult& r : episodes) {
+      if (r.metrics.count(name)) unit = r.metrics.at(name).unit;
+    }
+    out.Set(name, from_first ? in_first->second.value : values.Median(), unit);
+  }
+  for (auto& [name, values] : detail) out.detail[name] = values.Median();
+  out.detail["episodes"] = static_cast<double>(episodes.size());
+  if (metrics.count("ops_per_s")) {
+    out.detail["ops_per_s.slowest_episode"] = metrics["ops_per_s"].Quantile(0);
+    out.detail["ops_per_s.fastest_episode"] = metrics["ops_per_s"].Quantile(1);
+  }
+  return out;
+}
+
+}  // namespace
+
+WorkloadResult RunEpisodes(
+    const RunOptions& options, int episodes,
+    const std::function<WorkloadResult(const RunOptions&, bool last)>& run) {
+  std::vector<WorkloadResult> results;
+  for (int e = 0; e < episodes; ++e) {
+    RunOptions episode = options;
+    episode.dir = options.dir + "/episode" + std::to_string(e);
+    // Set-up time is the first episode's, from process start; the later
+    // set-ups are warm.
+    if (e > 0) episode.start_ns = NowNs();
+    std::error_code ec;
+    std::filesystem::create_directories(episode.dir, ec);
+    results.push_back(run(episode, e == episodes - 1));
+    std::filesystem::remove_all(episode.dir, ec);
+  }
+  return CombineEpisodes(results);
 }
 
 const LayerMetric kLayerMetrics[] = {

@@ -195,9 +195,14 @@ void QuiescentCheck(const RunOptions& options, AdeptCluster& cluster,
   }
 }
 
-}  // namespace
+// A run is kEpisodes identical episodes, each on a fresh cluster, and its
+// metrics are their medians (see RunEpisodes). Each episode's writer makes
+// kWriterRoundsPerSecond rounds per --seconds, calibrated so that a
+// 10-second run takes about that long here.
+constexpr int kEpisodes = 15;
+constexpr double kWriterRoundsPerSecond = 0.6;
 
-WorkloadResult RunMonitor(const RunOptions& options) {
+WorkloadResult RunEpisode(const RunOptions& options, bool last) {
   WorkloadResult result;
   // Set-up cost grows with the square of the steps taken (see the FOUND line
   // on WorklistManager::LiveItemFor in CHANGES.md), which caps the
@@ -206,10 +211,11 @@ WorkloadResult RunMonitor(const RunOptions& options) {
   const int max_progress = 10;  // seeded steps per instance in set-up
   const int readers = std::max(1, options.threads - 1);
   const int writer_round = options.small ? 20 : 200;  // steps per round
-  // A fixed amount of writer work, scaled by --seconds and calibrated so
-  // that a 10-second run takes about that long here (rounds cost more as
-  // the worklist's history grows); readers poll until the writer is done.
-  const int writer_rounds = std::max(1, static_cast<int>(options.seconds * 7));
+  // A fixed amount of writer work per episode, scaled by --seconds (rounds
+  // cost more as the worklist's history grows); readers poll until the
+  // writer is done.
+  const int writer_rounds = std::max(
+      1, static_cast<int>(options.seconds * kWriterRoundsPerSecond));
 
   adept::ClusterOptions co;
   co.shards = 4;
@@ -472,10 +478,16 @@ WorkloadResult RunMonitor(const RunOptions& options) {
     double traced = static_cast<double>(round_calls[1]) / static_cast<double>(round_ns[1]);
     result.Set("trace.overhead_pct", (untraced - traced) / untraced * 100.0, "%");
   }
-  if (!options.out_dir.empty()) {
+  if (last && !options.out_dir.empty()) {
     tracer.Dump(options.out_dir + "/trace-" + options.workload + ".jsonl");
   }
   return result;
+}
+
+}  // namespace
+
+WorkloadResult RunMonitor(const RunOptions& options) {
+  return RunEpisodes(options, options.small ? 2 : kEpisodes, RunEpisode);
 }
 
 }  // namespace e2e
