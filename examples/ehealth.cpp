@@ -127,13 +127,16 @@ int main() {
     auto result = adept.Query(done_query);
     return result.ok() && !result->empty();
   };
+  WorklistService& worklist = adept.worklist();
   int guard = 0;
   while (!patient_finished() && ++guard < 100) {
     bool worked = false;
     for (UserId user : {dr_weber, nurse_kim}) {
-      for (const WorkItem& item : adept.worklists().OffersFor(user)) {
-        (void)adept.worklists().Claim(item.id, user);
-        (void)adept.StartActivity(patient, item.node);
+      for (const WorkItem& item : worklist.OffersFor(user)) {
+        if (!worklist.Claim(item.id, user).ok() ||
+            !worklist.Start(item.id, user).ok()) {
+          continue;
+        }
         std::vector<ProcessInstance::DataWrite> writes;
         (void)adept.WithInstance(patient, [&](const ProcessInstance& inst) {
           inst.schema().VisitDataEdges(item.node, [&](const DataEdge& de) {
@@ -149,7 +152,7 @@ int main() {
             }
           });
         });
-        (void)adept.CompleteActivity(patient, item.node, writes);
+        (void)worklist.Complete(item.id, user, writes);
         worked = true;
       }
     }

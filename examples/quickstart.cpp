@@ -54,11 +54,13 @@ int main() {
   }
   std::cout << RenderSchema(**schema) << "\n";
 
-  // 5. Create and run one instance, pulling work from worklists. Reads go
-  // through the published snapshot (ReadInstance/SnapshotOf) — lock-free
-  // and race-free on any AdeptApi implementation; monitoring never blocks
-  // the engine.
+  // 5. Create and run one instance, pulling work from the worklist: each
+  // user claims an offer, starts it and completes it. Reads go through
+  // the published snapshot (ReadInstance/SnapshotOf) — lock-free and
+  // race-free on any AdeptApi implementation; monitoring never blocks the
+  // engine.
   InstanceId instance = *adept.CreateInstance("online_order");
+  WorklistService& worklist = adept.worklist();
   auto finished = [&] {
     auto snapshot = adept.SnapshotOf(instance);
     return snapshot != nullptr && snapshot->finished;
@@ -67,12 +69,12 @@ int main() {
   while (!finished()) {
     bool worked = false;
     for (UserId user : {alice, bob}) {
-      auto offers = adept.worklists().OffersFor(user);
+      auto offers = worklist.OffersFor(user);
       if (offers.empty()) continue;
       const WorkItem& item = offers.front();
-      (void)adept.worklists().Claim(item.id, user);
-      (void)adept.StartActivity(instance, item.node);
-      Status done = adept.CompleteActivity(instance, item.node);
+      Status done = worklist.Claim(item.id, user);
+      if (done.ok()) done = worklist.Start(item.id, user);
+      if (done.ok()) done = worklist.Complete(item.id, user);
       std::string name = "?";
       (void)adept.ReadInstance(instance, [&](const InstanceSnapshot& s) {
         const Node* node = s.schema->FindNode(item.node);

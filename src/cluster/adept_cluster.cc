@@ -914,11 +914,12 @@ Result<MigrationReport> AdeptCluster::MigrateToLatest(
   return merged;
 }
 
-// Per-shard resyncs already ran inside AdeptSystem::Migrate; this one
-// reconciles the *cluster* worklist (revoke items whose node vanished in
-// the remap, offer what the demotion events could not announce).
+// Reconciles the worklist with engine truth: revokes items whose node
+// vanished in a migration remap and offers what demotion events could not
+// announce. Shards carry no worklist of their own, so this is the only
+// worklist resync a migration runs.
 void AdeptCluster::ResyncClusterWorklist() {
-  worklist_->ResyncAfterMigration(
+  worklist_->Resync(
       [this](const WorklistService::InstanceVisitor& visitor) {
         ForEachInstance(visitor);
       });

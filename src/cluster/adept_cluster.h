@@ -151,9 +151,9 @@ class AdeptCluster : public AdeptApi {
   // blocked internally via the schema lock.
   Status Resize(int new_shard_count);
 
-  // Direct shard access (tests, benchmarks, per-shard org/worklists). The
-  // caller owns the synchronization story when mixing this with concurrent
-  // cluster calls.
+  // Direct shard access (tests, benchmarks). The caller owns the
+  // synchronization story when mixing this with concurrent cluster calls.
+  // Shards carry no worklist: work items live in Worklist() alone.
   AdeptSystem& shard(size_t index) { return *shards_[index]->system; }
 
   // Runs `fn` for every live instance, one shard at a time under that

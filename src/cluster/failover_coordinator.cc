@@ -233,19 +233,18 @@ int FailoverCoordinator::replica_count() const {
   return static_cast<int>(nodes_.size());
 }
 
-void FailoverCoordinator::SetPromotionHook(
-    std::function<void(const std::string&)> hook) {
+void FailoverCoordinator::SetPromotionHook(PromotionHook hook) {
   std::lock_guard<std::mutex> lock(hook_mu_);
   hook_ = std::move(hook);
 }
 
-void FailoverCoordinator::RunHook(const std::string& stage) {
-  std::function<void(const std::string&)> hook;
+void FailoverCoordinator::RunHook(const std::string& stage, int target) {
+  PromotionHook hook;
   {
     std::lock_guard<std::mutex> lock(hook_mu_);
     hook = hook_;
   }
-  if (hook) hook(stage);
+  if (hook) hook(stage, target);
 }
 
 // --- Promotion --------------------------------------------------------------
@@ -312,7 +311,7 @@ Result<PrimaryView> FailoverCoordinator::Promote() {
     for (int i : live) nodes_[static_cast<size_t>(i)].replica->Stop();
   }
 
-  RunHook("begin");
+  RunHook("begin", /*target=*/-1);
 
   // Make sure the deposed lineage has stopped shipping (idempotent when a
   // chaos kill — or the crash being recovered from — already did).
@@ -403,7 +402,7 @@ Result<PrimaryView> FailoverCoordinator::Promote() {
                     << lsn[target][static_cast<size_t>(k)] << ")";
   }
 
-  RunHook("selected");
+  RunHook("selected", live[target]);
 
   // Phase 3: epoch bump. at_least = max epoch seen anywhere + 1, so this
   // lineage dominates the deposed one AND any previously promoted one.
@@ -423,7 +422,7 @@ Result<PrimaryView> FailoverCoordinator::Promote() {
     return new_epoch.status();
   }
 
-  RunHook("promoted-files");
+  RunHook("promoted-files", live[target]);
 
   // Phase 4: recover the assembled file set as the new primary.
   ClusterOptions copts = options_.cluster;
@@ -444,7 +443,7 @@ Result<PrimaryView> FailoverCoordinator::Promote() {
         next->shard(static_cast<size_t>(k)).wal_writer()->durable_lsn();
   }
 
-  RunHook("recovered");
+  RunHook("recovered", live[target]);
 
   // Phase 5: restart the other standbys, attach, publish.
   PrimaryView published;
@@ -483,7 +482,7 @@ Result<PrimaryView> FailoverCoordinator::Promote() {
     published = view_;
   }
 
-  RunHook("attached");
+  RunHook("attached", live[target]);
   ADEPT_LOG(kInfo) << "failover: promoted node " << live[target]
                   << " as view " << published.version << " epoch "
                   << published.epoch;

@@ -29,8 +29,11 @@
 //
 // Chaos controls (KillPrimary / KillReplica / RestartReplica / the
 // promotion-stage hook) let a deterministic test script deaths at exact
-// protocol points; ResurrectOldPrimary / RejoinOldPrimaryAsReplica
-// exercise the two rejoin paths of a dead lineage's file set.
+// protocol points. A target killed after selection is still promoted:
+// promotion works on its quiesced file set, not its process, and that
+// file set then belongs to the new primary (RestartReplica refuses it).
+// ResurrectOldPrimary / RejoinOldPrimaryAsReplica exercise the two rejoin
+// paths of a dead lineage's file set.
 //
 // What is NOT replicated (per src/repl/README.md): the org file and the
 // worklist claim journal are node-local, so a promotion loses claims and
@@ -136,9 +139,12 @@ class FailoverCoordinator : public PrimaryResolver {
   int replica_count() const;
 
   // Called (without coordinator locks held) at each promotion stage:
-  // "begin", "selected", "promoted-files", "recovered", "attached".
+  // "begin", "selected", "promoted-files", "recovered", "attached", with
+  // the promotion target's node index (-1 at "begin", before selection).
   // A test hook may KillReplica() here to script a death mid-promotion.
-  void SetPromotionHook(std::function<void(const std::string&)> hook);
+  using PromotionHook =
+      std::function<void(const std::string& stage, int target)>;
+  void SetPromotionHook(PromotionHook hook);
 
   // --- Promotion ------------------------------------------------------------
 
@@ -210,7 +216,7 @@ class FailoverCoordinator : public PrimaryResolver {
   static std::string ShardFile(const std::string& base, uint64_t shard);
   static Status CopyFile(const std::string& from, const std::string& to);
 
-  void RunHook(const std::string& stage);
+  void RunHook(const std::string& stage, int target);
 
   const FailoverOptions options_;
 
@@ -231,7 +237,7 @@ class FailoverCoordinator : public PrimaryResolver {
   bool primary_alive_ = true;                          // guarded by mu_
 
   std::mutex hook_mu_;
-  std::function<void(const std::string&)> hook_;  // guarded by hook_mu_
+  PromotionHook hook_;  // guarded by hook_mu_
 
   // Serializes the promotion protocol itself (mu_ is released during the
   // slow file/recovery work so chaos controls and View() stay live).

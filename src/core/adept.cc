@@ -39,7 +39,6 @@ Result<std::vector<ProcessInstance::DataWrite>> WritesFromJson(
 }  // namespace
 
 AdeptSystem::AdeptSystem(const AdeptOptions& options) : options_(options) {
-  fanout_.Add(&worklists_);
   engine_.set_observer(&fanout_);
 }
 
@@ -464,12 +463,20 @@ Status AdeptSystem::ApplyAdHocChange(InstanceId id, Delta delta) {
   return Log(wal_record);
 }
 
-void AdeptSystem::ResyncWorklists() {
-  std::vector<const ProcessInstance*> instances;
-  for (InstanceId id : engine_.InstanceIds()) {
-    instances.push_back(engine_.Find(id));
+WorklistService& AdeptSystem::worklist() {
+  if (worklist_ == nullptr) {
+    // Without a journal, Create cannot fail.
+    worklist_ = WorklistService::Create(&org_, this).value();
+    worklist_->Resync(EngineInstances());
+    fanout_.Add(worklist_.get());
   }
-  worklists_.Resync(instances);
+  return *worklist_;
+}
+
+WorklistService::InstanceEnumerator AdeptSystem::EngineInstances() const {
+  return [this](const WorklistService::InstanceVisitor& visit) {
+    for (InstanceId id : engine_.InstanceIds()) visit(*engine_.Find(id));
+  };
 }
 
 Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
@@ -480,7 +487,7 @@ Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
     // Bias-cancellation migrations rewrite instance markings wholesale
     // (no per-node events), which can strand work items referencing
     // remapped node ids; reconcile before anyone claims a stale item.
-    ResyncWorklists();
+    if (worklist_ != nullptr) worklist_->Resync(EngineInstances());
     // Migration mutates instances below the facade's per-call hooks;
     // republish the touched instances so the read path sees the new
     // schema refs and remapped markings.
@@ -781,15 +788,12 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
   if (type == "migrate") {
     MigrationOptions options;
     options.use_replay_checker = record.Get("use_replay").as_bool();
-    Status st =
-        migration_manager_
-            .MigrateAll(
-                SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
-                SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
-                options)
-            .status();
-    if (st.ok()) ResyncWorklists();
-    return st;
+    return migration_manager_
+        .MigrateAll(
+            SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
+            SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
+            options)
+        .status();
   }
   return Status::Corruption("unknown WAL record type: " + type);
 }

@@ -7,7 +7,7 @@
 //   Engine             running instances with ADEPT marking semantics
 //   InstanceStore      Fig. 2 storage representations (overlay/copy/on-demand)
 //   compliance         ad-hoc changes, compliance checks, migration
-//   OrgModel/Worklists staff assignment and work items
+//   OrgModel/worklist  staff assignment and work items (WorklistService)
 //   monitor            Fig. 3 reports and visualization (separate headers)
 //   WAL + snapshots    durability: every state-changing call is logged via
 //                      a group-commit WalWriter (storage/wal_writer.h) with
@@ -35,13 +35,13 @@
 #include "core/adept_api.h"
 #include "model/schema.h"
 #include "org/org_model.h"
-#include "org/worklist.h"
 #include "runtime/driver.h"
 #include "runtime/engine.h"
 #include "storage/instance_store.h"
 #include "storage/schema_repository.h"
 #include "storage/wal.h"
 #include "storage/wal_writer.h"
+#include "worklist/worklist_service.h"
 
 namespace adept {
 
@@ -213,7 +213,12 @@ class AdeptSystem : public AdeptApi {
 
   OrgModel& org() { return org_; }
   const OrgModel& org() const { return org_; }
-  WorklistManager& worklists() { return worklists_; }
+  // The worklist over this system's instances, built on first call: no
+  // claim journal, this system routes Start/Complete, and it is seeded
+  // from current instance state (offers are a pure function of it), then
+  // subscribed to instance events. Cluster shards never call this, so
+  // they carry no worklist state; AdeptCluster::Worklist() serves theirs.
+  WorklistService& worklist();
 
   // Subscribes an additional observer to all instance events (monitoring).
   void AddObserver(InstanceObserver* observer) { fanout_.Add(observer); }
@@ -276,9 +281,8 @@ class AdeptSystem : public AdeptApi {
   Status AdoptInstanceFromJson(const JsonValue& ij);
   JsonValue SnapshotToJson(uint64_t wal_lsn) const;
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
-  // Reconciles worklists with engine truth after a migration (bias
-  // cancellation rewrites markings without firing instance events).
-  void ResyncWorklists();
+  // Visits every live instance (the worklist's resync enumerator).
+  WorklistService::InstanceEnumerator EngineInstances() const;
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query
   // indexes. No-op during recovery — Recover() bulk-publishes once at
@@ -295,8 +299,8 @@ class AdeptSystem : public AdeptApi {
   InstanceStore store_{&repository_};
   MigrationManager migration_manager_{&engine_, &repository_, &store_};
   OrgModel org_;
-  WorklistManager worklists_{&org_};
   ObserverFanout fanout_;
+  std::unique_ptr<WorklistService> worklist_;  // see worklist()
   SnapshotTable snapshots_;
   QueryIndex query_index_;
   std::unique_ptr<WalWriter> wal_;

@@ -31,6 +31,18 @@ bool CarriesClaim(const WorkItem& item) {
 
 }  // namespace
 
+const Node* OfferableActivity(const SchemaView& schema, NodeId node) {
+  const Node* n = schema.FindNode(node);
+  if (n == nullptr || n->type != NodeType::kActivity || !n->role.valid()) {
+    return nullptr;
+  }
+  return n;
+}
+
+uint64_t ActivationEpoch(const ProcessInstance& instance, NodeId node) {
+  return instance.completed_runs(node);
+}
+
 WorklistService::WorklistService(const OrgModel* org, AdeptApi* api,
                                  const WorklistServiceOptions& options)
     : org_(org), api_(api), options_(options) {
@@ -580,8 +592,6 @@ WorklistStats WorklistService::Stats() const {
         case WorkItemState::kStarted:
           ++stats.started;
           break;
-        case WorkItemState::kRevoked:
-          break;
       }
     }
   }
@@ -667,8 +677,7 @@ void WorklistService::OnNodeStateChange(const ProcessInstance& instance,
 
 // --- Adaptation hooks --------------------------------------------------------
 
-void WorklistService::ResyncAfterMigration(
-    const InstanceEnumerator& instances) {
+void WorklistService::Resync(const InstanceEnumerator& instances) {
   instances([&](const ProcessInstance& instance) {
     // Snapshot this instance's items (instance-index lock is a leaf; do
     // not hold it while touching segments).
@@ -690,7 +699,7 @@ void WorklistService::ResyncAfterMigration(
       const Node* n = instance.schema().FindNode(item.node);
       NodeState state = n == nullptr ? NodeState::kNotActivated
                                      : instance.node_state(item.node);
-      bool ok;
+      bool ok = false;
       switch (item.state) {
         case WorkItemState::kOffered:
           ok = state == NodeState::kActivated;
@@ -710,9 +719,6 @@ void WorklistService::ResyncAfterMigration(
         case WorkItemState::kStarted:
           ok = state == NodeState::kRunning ||
                state == NodeState::kSuspended || state == NodeState::kFailed;
-          break;
-        default:
-          ok = false;
           break;
       }
       if (!ok) {

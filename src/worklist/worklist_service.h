@@ -1,9 +1,10 @@
-// WorklistService: cluster-wide concurrent task distribution.
+// WorklistService: the one worklist — offers activated activities to the
+// users holding their staff-assignment role.
 //
-// The per-shard WorklistManager (org/worklist.h) is a single-threaded toy
-// bound to one AdeptSystem; this service is the scale-out counterpart: it
-// subscribes to instance events across every shard of an AdeptCluster and
-// serves worklists to many concurrent actors. The paper's promise — all
+// An AdeptCluster subscribes one service to the instance events of every
+// shard (AdeptCluster::Worklist()); a standalone AdeptSystem builds its
+// own on first use (AdeptSystem::worklist()). Either way it serves
+// worklists to many concurrent actors. The paper's promise — all
 // adaptation complexity "is hidden from users", who only ever see a
 // consistent worklist — survives ad-hoc deletion, migration demotion, and
 // bias-cancellation remaps because every retraction path funnels through
@@ -62,13 +63,41 @@
 #include "common/status.h"
 #include "core/adept_api.h"
 #include "org/org_model.h"
-#include "org/worklist.h"
 #include "runtime/events.h"
 #include "runtime/instance.h"
 #include "storage/wal.h"
 #include "storage/wal_writer.h"
 
 namespace adept {
+
+// A retracted or completed item leaves the table, so no state names it.
+enum class WorkItemState {
+  kOffered = 0,  // visible in role members' worklists
+  kClaimed,      // reserved by one user, not yet started
+  kStarted,      // activity execution began
+};
+
+struct WorkItem {
+  WorkItemId id;
+  InstanceId instance;
+  NodeId node;
+  RoleId role;
+  WorkItemState state = WorkItemState::kOffered;
+  UserId claimed_by;
+  // Activation epoch: completed runs of the node when the item was
+  // offered. Distinguishes loop iterations of the same (instance, node)
+  // in the claim journal.
+  uint64_t epoch = 0;
+};
+
+// The staff-assignment activity behind `node`, or nullptr when the node
+// does not exist, is not an activity, or carries no role: the
+// offer-eligibility rule.
+const Node* OfferableActivity(const SchemaView& schema, NodeId node);
+
+// Completed runs of `node` per the instance trace — the activation epoch
+// recorded in offered items.
+uint64_t ActivationEpoch(const ProcessInstance& instance, NodeId node);
 
 struct WorklistServiceOptions {
   // Claim journal path; empty disables durability (claims die with the
@@ -178,13 +207,15 @@ class WorklistService : public InstanceObserver {
 
   // --- Adaptation hooks -----------------------------------------------------
 
-  // Reconciles the worklist with engine truth after a migration fan-out:
-  // revokes live items whose node vanished from the (possibly remapped)
-  // schema or is no longer Activated/Running, and offers Activated
-  // role-carrying activities without a live item. Runs per instance under
-  // that instance's shard lock (via `instances`), so it is exact even
-  // with concurrent traffic.
-  void ResyncAfterMigration(const InstanceEnumerator& instances);
+  // Reconciles the worklist with engine truth: revokes live items whose
+  // node vanished from the (possibly remapped) schema or is no longer
+  // Activated/Running, and offers Activated role-carrying activities
+  // without a live item. Runs after a migration fan-out (bias
+  // cancellation rewrites markings without events) and seeds a service
+  // created over existing instances. Runs per instance under that
+  // instance's shard lock (via `instances`), so it is exact even with
+  // concurrent traffic.
+  void Resync(const InstanceEnumerator& instances);
 
   // InstanceObserver (called under the owning shard's lock):
   void OnNodeStateChange(const ProcessInstance& instance, NodeId node,

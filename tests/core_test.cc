@@ -228,9 +228,9 @@ TEST(AdeptSystemTest, WorklistIntegration) {
   auto inst = adept.CreateInstance("office");
   ASSERT_TRUE(inst.ok());
 
-  auto offers = adept.worklists().OffersFor(*alice);
+  auto offers = adept.worklist().OffersFor(*alice);
   ASSERT_EQ(offers.size(), 1u);
-  ASSERT_TRUE(adept.worklists().Claim(offers[0].id, *alice).ok());
+  ASSERT_TRUE(adept.worklist().Claim(offers[0].id, *alice).ok());
   ASSERT_TRUE(adept.StartActivity(*inst, offers[0].node).ok());
   ASSERT_TRUE(adept.CompleteActivity(*inst, offers[0].node).ok());
   EXPECT_TRUE(adept.SnapshotOf(*inst)->finished);

@@ -446,19 +446,21 @@ TEST(FailoverChaosTest, StandbyDeathDuringPromotionDoesNotBlockIt) {
     acked.push_back(*id);
   }
 
-  // All standbys converged equally, so the selection tie-break picks
-  // node 0 — killing node 2 at "selected" never kills the target.
-  coord.SetPromotionHook([&](const std::string& stage) {
-    if (stage == "selected" && coord.ReplicaRunning(2)) {
-      EXPECT_TRUE(coord.KillReplica(2).ok());
-    }
+  // Under quorum 2 the standbys need not be equally caught up, so the
+  // target is whichever acked most; the hook kills the first other one.
+  int killed = -1;
+  coord.SetPromotionHook([&](const std::string& stage, int target) {
+    if (stage != "selected" || killed >= 0) return;
+    killed = target == 0 ? 1 : 0;
+    EXPECT_TRUE(coord.KillReplica(killed).ok());
   });
 
   ASSERT_TRUE(coord.KillPrimary().ok());
   auto promoted = coord.Promote();
   ASSERT_TRUE(promoted.ok()) << promoted.status();
   EXPECT_EQ(coord.promotions(), 1u);
-  EXPECT_FALSE(coord.ReplicaRunning(2));
+  ASSERT_GE(killed, 0);
+  EXPECT_FALSE(coord.ReplicaRunning(killed));
 
   // Quorum 2 = the new primary's disk + the surviving standby.
   auto post = client.Create("seq");
@@ -468,7 +470,7 @@ TEST(FailoverChaosTest, StandbyDeathDuringPromotionDoesNotBlockIt) {
 
   // The killed standby restarts on its old port (it rejoins the peer set
   // at the next attach); meanwhile commits keep flowing on the survivors.
-  ASSERT_TRUE(coord.RestartReplica(2).ok());
+  ASSERT_TRUE(coord.RestartReplica(killed).ok());
   auto after_restart = client.Create("seq");
   ASSERT_TRUE(after_restart.ok()) << after_restart.status();
   acked.push_back(*after_restart);

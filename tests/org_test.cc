@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "change/change_op.h"
-#include "compliance/adhoc.h"
 #include "core/adept.h"
-#include "org/org_model.h"
-#include "org/worklist.h"
-#include "storage/instance_store.h"
-#include "storage/schema_repository.h"
 #include "model/schema_builder.h"
-#include "runtime/engine.h"
+#include "org/org_model.h"
+#include "worklist/worklist_service.h"
 
 namespace adept {
 namespace {
@@ -23,20 +23,26 @@ std::shared_ptr<const ProcessSchema> RoleSchema(RoleId clerk, RoleId packer) {
   return schema.ok() ? *schema : nullptr;
 }
 
+// A standalone AdeptSystem whose org holds a clerk (alice) and a packer
+// (bob); its worklist() is the one under test.
 class WorklistTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    clerk_ = *org_.AddRole("clerk");
-    packer_ = *org_.AddRole("packer");
-    alice_ = *org_.AddUser("alice");
-    bob_ = *org_.AddUser("bob");
-    ASSERT_TRUE(org_.AssignRole(alice_, clerk_).ok());
-    ASSERT_TRUE(org_.AssignRole(bob_, packer_).ok());
+    auto system = AdeptSystem::Create();
+    ASSERT_TRUE(system.ok());
+    system_ = std::move(*system);
+    OrgModel& org = system_->org();
+    clerk_ = *org.AddRole("clerk");
+    packer_ = *org.AddRole("packer");
+    alice_ = *org.AddUser("alice");
+    bob_ = *org.AddUser("bob");
+    ASSERT_TRUE(org.AssignRole(alice_, clerk_).ok());
+    ASSERT_TRUE(org.AssignRole(bob_, packer_).ok());
     schema_ = RoleSchema(clerk_, packer_);
     ASSERT_NE(schema_, nullptr);
   }
 
-  OrgModel org_;
+  std::unique_ptr<AdeptSystem> system_;
   RoleId clerk_, packer_;
   UserId alice_, bob_;
   std::shared_ptr<const ProcessSchema> schema_;
@@ -68,121 +74,31 @@ TEST(OrgModelTest, RolesAndUsers) {
   EXPECT_EQ(*org.RoleName(*clerk), "clerk");
 }
 
-TEST_F(WorklistTest, OffersFollowActivation) {
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), schema_, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
-
-  // "take order" is activated -> offered to alice (clerk), not bob.
-  auto alice_offers = worklists.OffersFor(alice_);
-  ASSERT_EQ(alice_offers.size(), 1u);
-  EXPECT_EQ(alice_offers[0].node, schema_->FindNodeByName("take order"));
-  EXPECT_TRUE(worklists.OffersFor(bob_).empty());
-
-  // Claim and start.
-  ASSERT_TRUE(worklists.Claim(alice_offers[0].id, alice_).ok());
-  EXPECT_TRUE(worklists.OffersFor(alice_).empty());  // claimed, not offered
-  ASSERT_TRUE(inst.StartActivity(alice_offers[0].node).ok());
-  ASSERT_TRUE(inst.CompleteActivity(alice_offers[0].node).ok());
-
-  // Next item goes to bob.
-  auto bob_offers = worklists.OffersFor(bob_);
-  ASSERT_EQ(bob_offers.size(), 1u);
-  EXPECT_EQ(bob_offers[0].node, schema_->FindNodeByName("pack"));
-}
-
-TEST_F(WorklistTest, ClaimAuthorizationEnforced) {
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), schema_, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
-  auto offers = worklists.OffersFor(alice_);
-  ASSERT_EQ(offers.size(), 1u);
-  // bob is no clerk.
-  EXPECT_EQ(worklists.Claim(offers[0].id, bob_).code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(worklists.Claim(offers[0].id, alice_).ok());
-  // Double claim rejected.
-  EXPECT_FALSE(worklists.Claim(offers[0].id, alice_).ok());
-}
-
 TEST_F(WorklistTest, AdHocDeletionRevokesWorkItem) {
-  SchemaRepository repo;
-  auto schema_id = repo.Deploy(schema_);
-  ASSERT_TRUE(schema_id.ok());
-  InstanceStore store(&repo);
-  WorklistManager worklists(&org_);
-
-  Engine engine;
-  engine.set_observer(&worklists);
-  auto created = engine.CreateInstance(schema_, *schema_id);
-  ASSERT_TRUE(created.ok());
-  ProcessInstance* inst = *created;
-  ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
-  ASSERT_TRUE(inst->Start().ok());
-  ASSERT_EQ(worklists.offered_count(), 1u);
+  AdeptSystem& adept = *system_;
+  ASSERT_TRUE(adept.DeployProcessType(schema_).ok());
+  WorklistService& worklist = adept.worklist();
+  InstanceId id = *adept.CreateInstance("role_proc");
+  ASSERT_EQ(worklist.Stats().offered, 1u);
 
   // Delete the offered activity ad hoc: the work item must be revoked.
   Delta delta;
   delta.Add(std::make_unique<DeleteActivityOp>(
       schema_->FindNodeByName("take order")));
-  ASSERT_TRUE(ApplyAdHocChange(*inst, store, std::move(delta)).ok());
+  ASSERT_TRUE(adept.ApplyAdHocChange(id, std::move(delta)).ok());
 
-  EXPECT_EQ(worklists.revoked_count(), 1u);
+  EXPECT_EQ(worklist.Stats().revoked_total, 1u);
   // The successor ("pack") is offered instead.
-  auto bob_offers = worklists.OffersFor(bob_);
+  auto bob_offers = worklist.OffersFor(bob_);
   ASSERT_EQ(bob_offers.size(), 1u);
   EXPECT_EQ(bob_offers[0].node, schema_->FindNodeByName("pack"));
 }
 
-TEST_F(WorklistTest, AdHocDeletionRevokesClaimedItemExactlyOnce) {
-  SchemaRepository repo;
-  auto schema_id = repo.Deploy(schema_);
-  ASSERT_TRUE(schema_id.ok());
-  InstanceStore store(&repo);
-  WorklistManager worklists(&org_);
-
-  Engine engine;
-  engine.set_observer(&worklists);
-  auto created = engine.CreateInstance(schema_, *schema_id);
-  ASSERT_TRUE(created.ok());
-  ProcessInstance* inst = *created;
-  ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
-  ASSERT_TRUE(inst->Start().ok());
-
-  // Claim the offered "take order" before it is deleted ad hoc.
-  auto offers = worklists.OffersFor(alice_);
-  ASSERT_EQ(offers.size(), 1u);
-  ASSERT_TRUE(worklists.Claim(offers[0].id, alice_).ok());
-
-  Delta delta;
-  delta.Add(std::make_unique<DeleteActivityOp>(
-      schema_->FindNodeByName("take order")));
-  ASSERT_TRUE(ApplyAdHocChange(*inst, store, std::move(delta)).ok());
-
-  // Retracted exactly once — claimed items included.
-  EXPECT_EQ(worklists.revoked_count(), 1u);
-  EXPECT_TRUE(worklists.OffersFor(alice_).empty());
-  EXPECT_FALSE(worklists.Claim(offers[0].id, alice_).ok());
-}
-
-// Regression: a migration with bias cancellation rewrites the instance
-// marking wholesale (no per-node events), leaving work items that
-// reference the cancelled bias node ids. Claiming such a stale item used
-// to succeed; Migrate now resyncs the worklist and the claim fails
-// kNotFound.
 TEST_F(WorklistTest, StaleItemAfterBiasCancellationMigration) {
-  auto system = AdeptSystem::Create();
-  ASSERT_TRUE(system.ok());
-  AdeptSystem& adept = **system;
-  RoleId clerk = *adept.org().AddRole("clerk");
-  UserId alice = *adept.org().AddUser("alice");
-  ASSERT_TRUE(adept.org().AssignRole(alice, clerk).ok());
-
+  AdeptSystem& adept = *system_;
   SchemaBuilder b("bias_proc", 1);
-  NodeId a = b.Activity("a", {.role = clerk});
-  NodeId c = b.Activity("c", {.role = clerk});
+  NodeId a = b.Activity("a", {.role = clerk_});
+  NodeId c = b.Activity("c", {.role = clerk_});
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
   auto v1 = adept.DeployProcessType(*schema);
@@ -197,12 +113,12 @@ TEST_F(WorklistTest, StaleItemAfterBiasCancellationMigration) {
     Delta delta;
     NewActivitySpec spec;
     spec.name = "x";
-    spec.role = clerk;
+    spec.role = clerk_;
     delta.Add(std::make_unique<SerialInsertOp>(spec, a, c));
     return delta;
   };
   ASSERT_TRUE(adept.ApplyAdHocChange(id, make_insert()).ok());
-  auto offers = adept.worklists().OffersFor(alice);
+  auto offers = adept.worklist().OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   WorkItemId stale = offers[0].id;
 
@@ -215,69 +131,91 @@ TEST_F(WorklistTest, StaleItemAfterBiasCancellationMigration) {
   ASSERT_EQ(report->MigratedTotal(), 1u);
 
   // The stale item (bias node id) is gone; claiming it is kNotFound.
-  EXPECT_EQ(adept.worklists().Claim(stale, alice).code(),
+  EXPECT_EQ(adept.worklist().Claim(stale, alice_).code(),
             StatusCode::kNotFound);
   // Exactly one live offer for the remapped "x" node remains, claimable.
-  offers = adept.worklists().OffersFor(alice);
+  offers = adept.worklist().OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   EXPECT_NE(offers[0].id, stale);
   auto snapshot = adept.SnapshotOf(id);
   ASSERT_NE(snapshot, nullptr);
   EXPECT_NE(snapshot->schema->FindNode(offers[0].node), nullptr);
-  EXPECT_TRUE(adept.worklists().Claim(offers[0].id, alice).ok());
+  EXPECT_TRUE(adept.worklist().Claim(offers[0].id, alice_).ok());
 }
 
-// Migration demotion (paper: state adaptation may deactivate an activity
-// when the type change inserts a predecessor) retracts offered and
-// claimed items exactly once.
-TEST_F(WorklistTest, MigrationDemotionRevokesClaimedItems) {
-  auto system = AdeptSystem::Create();
-  ASSERT_TRUE(system.ok());
-  AdeptSystem& adept = **system;
-  RoleId clerk = *adept.org().AddRole("clerk");
-  UserId alice = *adept.org().AddUser("alice");
-  ASSERT_TRUE(adept.org().AssignRole(alice, clerk).ok());
-
-  SchemaBuilder b("demote_proc", 1);
-  NodeId a = b.Activity("a", {.role = clerk});
-  NodeId c = b.Activity("c", {.role = clerk});
-  auto schema = b.Build();
+// worklist() is built on first use. Instances driven before that call are
+// seeded from their current state: exactly one offer per role-carrying
+// Activated node, whether it got there by navigation or by an ad-hoc
+// insert, and none for a Running one. The seeded items then follow
+// migration like any other: bias cancellation still drops the stale one.
+TEST_F(WorklistTest, FirstWorklistCallSeedsFromInstanceState) {
+  AdeptSystem& adept = *system_;
+  SchemaBuilder builder("seed_proc", 1);
+  NodeId a = builder.Activity("a", {.role = clerk_});
+  NodeId b = builder.Activity("b", {.role = clerk_});
+  NodeId c = builder.Activity("c", {.role = packer_});
+  auto schema = builder.Build();
   ASSERT_TRUE(schema.ok());
   auto v1 = adept.DeployProcessType(*schema);
   ASSERT_TRUE(v1.ok());
+  auto make_insert = [&] {
+    Delta delta;
+    NewActivitySpec spec;
+    spec.name = "x";
+    spec.role = clerk_;
+    delta.Add(std::make_unique<SerialInsertOp>(spec, a, b));
+    return delta;
+  };
+  auto complete = [&](InstanceId id, NodeId node) {
+    ASSERT_TRUE(adept.StartActivity(id, node).ok());
+    ASSERT_TRUE(adept.CompleteActivity(id, node).ok());
+  };
 
-  InstanceId offered_id = *adept.CreateInstance("demote_proc");
-  InstanceId claimed_id = *adept.CreateInstance("demote_proc");
-  for (InstanceId id : {offered_id, claimed_id}) {
-    ASSERT_TRUE(adept.StartActivity(id, a).ok());
-    ASSERT_TRUE(adept.CompleteActivity(id, a).ok());
+  InstanceId at_a = *adept.CreateInstance("seed_proc");
+  InstanceId at_b = *adept.CreateInstance("seed_proc");
+  complete(at_b, a);
+  InstanceId at_c = *adept.CreateInstance("seed_proc");
+  complete(at_c, a);
+  complete(at_c, b);
+  InstanceId at_x = *adept.CreateInstance("seed_proc");
+  complete(at_x, a);
+  ASSERT_TRUE(adept.ApplyAdHocChange(at_x, make_insert()).ok());
+  NodeId bias_x = adept.SnapshotOf(at_x)->schema->FindNodeByName("x");
+  ASSERT_TRUE(bias_x.valid());
+  InstanceId running = *adept.CreateInstance("seed_proc");
+  ASSERT_TRUE(adept.StartActivity(running, a).ok());
+
+  // First call: offers derived from the state above, one per node.
+  WorklistService& worklist = adept.worklist();
+  using Key = std::pair<InstanceId, NodeId>;
+  auto keys = [](const std::vector<WorkItem>& items) {
+    std::multiset<Key> out;
+    for (const WorkItem& item : items) out.insert({item.instance, item.node});
+    return out;
+  };
+  auto alice_offers = worklist.OffersFor(alice_);
+  EXPECT_EQ(keys(alice_offers),
+            (std::multiset<Key>{{at_a, a}, {at_b, b}, {at_x, bias_x}}));
+  EXPECT_EQ(keys(worklist.OffersFor(bob_)), (std::multiset<Key>{{at_c, c}}));
+  EXPECT_EQ(worklist.Stats().offered, 4u);
+  WorkItemId stale;
+  for (const WorkItem& item : alice_offers) {
+    if (item.instance == at_x) stale = item.id;
   }
-  auto offers = adept.worklists().OffersFor(alice);
-  ASSERT_EQ(offers.size(), 2u);
-  const WorkItem claimed_item =
-      offers[0].instance == claimed_id ? offers[0] : offers[1];
-  ASSERT_TRUE(adept.worklists().Claim(claimed_item.id, alice).ok());
+  ASSERT_TRUE(stale.valid());
 
-  Delta delta;
-  NewActivitySpec spec;
-  spec.name = "gate";
-  spec.role = clerk;
-  delta.Add(std::make_unique<SerialInsertOp>(spec, a, c));
-  auto v2 = adept.EvolveProcessType(*v1, std::move(delta));
+  // The type evolves by the same insert; migration cancels at_x's bias
+  // and remaps its state onto the type's node ids.
+  auto v2 = adept.EvolveProcessType(*v1, make_insert());
   ASSERT_TRUE(v2.ok());
   auto report = adept.Migrate(*v1, *v2);
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report->MigratedTotal(), 2u);
-
-  // Both "c" items (one offered, one claimed) retracted exactly once;
-  // the new "gate" is offered on both instances.
-  EXPECT_EQ(adept.worklists().revoked_count(), 2u);
-  offers = adept.worklists().OffersFor(alice);
-  ASSERT_EQ(offers.size(), 2u);
-  for (const WorkItem& item : offers) {
-    EXPECT_NE(item.node, c);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(worklist.Claim(stale, alice_).code(), StatusCode::kNotFound);
+  for (const WorkItem& item : worklist.OffersFor(alice_)) {
+    EXPECT_NE(item.id, stale);
+    EXPECT_NE(adept.SnapshotOf(item.instance)->schema->FindNode(item.node),
+              nullptr);
   }
-  EXPECT_FALSE(adept.worklists().Claim(claimed_item.id, alice).ok());
 }
 
 TEST_F(WorklistTest, SkippedBranchRevokesOffer) {
@@ -292,15 +230,16 @@ TEST_F(WorklistTest, SkippedBranchRevokesOffer) {
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
 
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), *schema, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
-  ASSERT_TRUE(inst.StartActivity(init).ok());
-  ASSERT_TRUE(inst.CompleteActivity(init, {{sel, DataValue::Int(0)}}).ok());
+  AdeptSystem& adept = *system_;
+  ASSERT_TRUE(adept.DeployProcessType(*schema).ok());
+  WorklistService& worklist = adept.worklist();
+  InstanceId id = *adept.CreateInstance("xor_roles");
+  ASSERT_TRUE(adept.StartActivity(id, init).ok());
+  ASSERT_TRUE(
+      adept.CompleteActivity(id, init, {{sel, DataValue::Int(0)}}).ok());
 
   // Only "left" is offered; "right" was skipped without ever being offered.
-  auto offers = worklists.OffersFor(bob_);
+  auto offers = worklist.OffersFor(bob_);
   ASSERT_EQ(offers.size(), 1u);
   EXPECT_EQ(offers[0].node, (*schema)->FindNodeByName("left"));
 }

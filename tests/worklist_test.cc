@@ -49,8 +49,7 @@ class WorklistServiceTest : public ::testing::Test {
  protected:
   // Org population is repeatable (recovery does not persist the org
   // model; re-adding in the same order yields the same ids).
-  void PopulateOrg(AdeptCluster& cluster) {
-    OrgModel& org = cluster.org();
+  void PopulateOrg(OrgModel& org) {
     clerk_ = *org.AddRole("clerk");
     packer_ = *org.AddRole("packer");
     alice_ = *org.AddUser("alice");
@@ -61,14 +60,15 @@ class WorklistServiceTest : public ::testing::Test {
     ASSERT_TRUE(org.AssignRole(carol_, clerk_).ok());
   }
 
-  void Init(AdeptCluster& cluster) {
-    PopulateOrg(cluster);
+  void Init(OrgModel& org, AdeptApi& api) {
+    PopulateOrg(org);
     schema_ = RoleSchema(clerk_, packer_);
     ASSERT_NE(schema_, nullptr);
-    auto deployed = cluster.DeployProcessType(schema_);
+    auto deployed = api.DeployProcessType(schema_);
     ASSERT_TRUE(deployed.ok());
     v1_id_ = *deployed;
   }
+  void Init(AdeptCluster& cluster) { Init(cluster.org(), cluster); }
 
   RoleId clerk_, packer_;
   UserId alice_, bob_, carol_;
@@ -76,13 +76,58 @@ class WorklistServiceTest : public ::testing::Test {
   std::shared_ptr<const ProcessSchema> schema_;
 };
 
-TEST_F(WorklistServiceTest, OfferClaimStartCompleteLifecycle) {
-  auto cluster = AdeptCluster::Create({.shards = 2});
-  ASSERT_TRUE(cluster.ok());
-  Init(**cluster);
-  WorklistService& worklist = (*cluster)->Worklist();
+// The cases below hold for every worklist: each runs once on a cluster's
+// Worklist() and once on a standalone AdeptSystem's worklist().
+class WorklistBackendTest : public WorklistServiceTest,
+                            public ::testing::WithParamInterface<bool> {
+ protected:
+  // Exactly one of the two is set.
+  struct Backend {
+    std::unique_ptr<AdeptCluster> cluster;
+    std::unique_ptr<AdeptSystem> system;
 
-  InstanceId id = *(*cluster)->CreateInstance("wl_proc");
+    AdeptApi& api() {
+      if (cluster != nullptr) return *cluster;
+      return *system;
+    }
+    OrgModel& org() {
+      return cluster != nullptr ? cluster->org() : system->org();
+    }
+    WorklistService& worklist() {
+      return cluster != nullptr ? cluster->Worklist() : system->worklist();
+    }
+  };
+
+  // Builds `backend_` (a `shards`-shard cluster, or a standalone system)
+  // and deploys the role schema on it.
+  void InitBackend(bool standalone, int shards) {
+    backend_ = Backend{};
+    if (standalone) {
+      auto system = AdeptSystem::Create();
+      ASSERT_TRUE(system.ok());
+      backend_.system = std::move(*system);
+    } else {
+      auto cluster = AdeptCluster::Create({.shards = shards});
+      ASSERT_TRUE(cluster.ok());
+      backend_.cluster = std::move(*cluster);
+    }
+    Init(backend_.org(), backend_.api());
+  }
+
+  Backend backend_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, WorklistBackendTest,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? "Standalone" : "Cluster";
+                         });
+
+TEST_P(WorklistBackendTest, OfferClaimStartCompleteLifecycle) {
+  InitBackend(GetParam(), /*shards=*/2);
+  WorklistService& worklist = backend_.worklist();
+
+  InstanceId id = *backend_.api().CreateInstance("wl_proc");
 
   // "prepare" is offered to both clerks, not the packer.
   auto alice_offers = worklist.OffersFor(alice_);
@@ -121,12 +166,10 @@ TEST_F(WorklistServiceTest, OfferClaimStartCompleteLifecycle) {
   EXPECT_EQ(stats.completed_total, 1u);
 }
 
-TEST_F(WorklistServiceTest, ClaimAuthorizationAndUnknownItems) {
-  auto cluster = AdeptCluster::Create({.shards = 2});
-  ASSERT_TRUE(cluster.ok());
-  Init(**cluster);
-  WorklistService& worklist = (*cluster)->Worklist();
-  (void)*(*cluster)->CreateInstance("wl_proc");
+TEST_P(WorklistBackendTest, ClaimAuthorizationAndUnknownItems) {
+  InitBackend(GetParam(), /*shards=*/2);
+  WorklistService& worklist = backend_.worklist();
+  (void)*backend_.api().CreateInstance("wl_proc");
 
   auto offers = worklist.OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
@@ -138,6 +181,9 @@ TEST_F(WorklistServiceTest, ClaimAuthorizationAndUnknownItems) {
             StatusCode::kNotFound);
   EXPECT_EQ(worklist.Get(WorkItemId(999999)).status().code(),
             StatusCode::kNotFound);
+  ASSERT_TRUE(worklist.Claim(offers[0].id, alice_).ok());
+  // Double claim rejected.
+  EXPECT_FALSE(worklist.Claim(offers[0].id, alice_).ok());
 }
 
 TEST_F(WorklistServiceTest, ReleaseAndDelegate) {
@@ -271,7 +317,7 @@ TEST_F(WorklistServiceTest, ClaimedItemsSurviveRecovery) {
   auto recovered = AdeptCluster::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   // The org model is not durable; repopulate in the same order (same ids).
-  PopulateOrg(**recovered);
+  PopulateOrg((*recovered)->org());
   WorklistService& worklist = (*recovered)->Worklist();
 
   auto alice_assigned = worklist.AssignedTo(alice_);
@@ -319,7 +365,7 @@ TEST_F(WorklistServiceTest, ReleasedThenReclaimedSurvivesRecovery) {
   }
   auto recovered = AdeptCluster::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  PopulateOrg(**recovered);
+  PopulateOrg((*recovered)->org());
   WorklistService& worklist = (*recovered)->Worklist();
   // The journal replays claim -> release -> claim: carol owns the item.
   EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
@@ -344,7 +390,7 @@ TEST_F(WorklistServiceTest, LostCloseRecordCannotResurrectStaleClaim) {
   {
     auto cluster = AdeptCluster::Create(options);
     ASSERT_TRUE(cluster.ok());
-    PopulateOrg(**cluster);
+    PopulateOrg((*cluster)->org());
     SchemaBuilder b("loop_proc", 1);
     again = b.Data("again", DataType::kBool);
     b.Loop(again, [&](SchemaBuilder& s) {
@@ -383,7 +429,7 @@ TEST_F(WorklistServiceTest, LostCloseRecordCannotResurrectStaleClaim) {
 
   auto recovered = AdeptCluster::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  PopulateOrg(**recovered);
+  PopulateOrg((*recovered)->org());
   WorklistService& worklist = (*recovered)->Worklist();
 
   // The stale claim (epoch 0) must not own iteration 2's offer (epoch 1):
@@ -397,21 +443,20 @@ TEST_F(WorklistServiceTest, LostCloseRecordCannotResurrectStaleClaim) {
 // Revocation storm: a bulk cross-shard migration demotes the offered/
 // claimed activity on every instance; each item is retracted exactly once
 // and stale claim tickets fail kNotFound.
-TEST_F(WorklistServiceTest, BulkMigrationRetractsOfferedAndClaimedOnce) {
-  auto cluster = AdeptCluster::Create({.shards = 4});
-  ASSERT_TRUE(cluster.ok());
-  Init(**cluster);
-  WorklistService& worklist = (*cluster)->Worklist();
+TEST_P(WorklistBackendTest, BulkMigrationRetractsOfferedAndClaimedOnce) {
+  InitBackend(GetParam(), /*shards=*/4);
+  AdeptApi& api = backend_.api();
+  WorklistService& worklist = backend_.worklist();
 
   constexpr int kInstances = 12;
   NodeId prepare = schema_->FindNodeByName("prepare");
   std::vector<InstanceId> instances;
   for (int i = 0; i < kInstances; ++i) {
-    InstanceId id = *(*cluster)->CreateInstance("wl_proc");
+    InstanceId id = *api.CreateInstance("wl_proc");
     instances.push_back(id);
     // Complete "prepare" so "execute" (packer) is the offered activity.
-    ASSERT_TRUE((*cluster)->StartActivity(id, prepare).ok());
-    ASSERT_TRUE((*cluster)->CompleteActivity(id, prepare).ok());
+    ASSERT_TRUE(api.StartActivity(id, prepare).ok());
+    ASSERT_TRUE(api.CompleteActivity(id, prepare).ok());
   }
   auto offers = worklist.OffersFor(bob_);
   ASSERT_EQ(offers.size(), static_cast<size_t>(kInstances));
@@ -429,9 +474,9 @@ TEST_F(WorklistServiceTest, BulkMigrationRetractsOfferedAndClaimedOnce) {
   spec.role = clerk_;
   delta.Add(std::make_unique<SerialInsertOp>(
       spec, prepare, schema_->FindNodeByName("execute")));
-  auto v2 = (*cluster)->EvolveProcessType(v1_id_, std::move(delta));
+  auto v2 = api.EvolveProcessType(v1_id_, std::move(delta));
   ASSERT_TRUE(v2.ok());
-  auto report = (*cluster)->MigrateToLatest("wl_proc");
+  auto report = api.MigrateToLatest("wl_proc");
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->MigratedTotal(), static_cast<size_t>(kInstances));
 
@@ -449,13 +494,11 @@ TEST_F(WorklistServiceTest, BulkMigrationRetractsOfferedAndClaimedOnce) {
   EXPECT_EQ(stats.claimed, 0u);
 }
 
-TEST_F(WorklistServiceTest, AdHocDeletionRetractsClaimedItem) {
-  auto cluster = AdeptCluster::Create({.shards = 2});
-  ASSERT_TRUE(cluster.ok());
-  Init(**cluster);
-  WorklistService& worklist = (*cluster)->Worklist();
+TEST_P(WorklistBackendTest, AdHocDeletionRetractsClaimedItem) {
+  InitBackend(GetParam(), /*shards=*/2);
+  WorklistService& worklist = backend_.worklist();
 
-  InstanceId id = *(*cluster)->CreateInstance("wl_proc");
+  InstanceId id = *backend_.api().CreateInstance("wl_proc");
   auto offers = worklist.OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   ASSERT_TRUE(worklist.Claim(offers[0].id, alice_).ok());
@@ -463,9 +506,11 @@ TEST_F(WorklistServiceTest, AdHocDeletionRetractsClaimedItem) {
   Delta delta;
   delta.Add(std::make_unique<DeleteActivityOp>(
       schema_->FindNodeByName("prepare")));
-  ASSERT_TRUE((*cluster)->ApplyAdHocChange(id, std::move(delta)).ok());
+  ASSERT_TRUE(backend_.api().ApplyAdHocChange(id, std::move(delta)).ok());
 
+  // Retracted exactly once — claimed items included.
   EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
+  EXPECT_TRUE(worklist.OffersFor(alice_).empty());
   EXPECT_EQ(worklist.Stats().revoked_total, 1u);
   EXPECT_EQ(worklist.Claim(offers[0].id, alice_).code(),
             StatusCode::kNotFound);
